@@ -45,7 +45,6 @@ from repro.core.parallel import (
     ProgressCallback,
     WorkloadPrep,
     campaign_fingerprint,
-    load_checkpoint_prep,
     prep_fingerprint,
 )
 from repro.core.resultstore import ShardedResultStore
@@ -398,7 +397,6 @@ class Campaign:
     def _executor(
         self,
         progress: Optional[ProgressCallback] = None,
-        checkpoint_path: Optional[str] = None,
         results_dir: Optional[str] = None,
     ) -> CampaignExecutor:
         """Build the executor this campaign's configuration asks for."""
@@ -407,7 +405,6 @@ class Campaign:
             workers=self.config.workers,
             chunk_size=self.config.chunk_size,
             progress=progress,
-            checkpoint_path=checkpoint_path,
             results_dir=results_dir,
             shard_batch=self.config.shard_batch,
         )
@@ -434,7 +431,7 @@ class Campaign:
         because the campaign RNG streams are shared across workloads.  Every
         planned task carries its seed, fixed by plan position, so execution
         order cannot change any experiment's outcome.  ``prepared`` lets the
-        caller reuse preparation results (e.g. reloaded from a checkpoint).
+        caller reuse preparation results (e.g. reloaded from a result store).
         """
         if executor is None:
             with self._executor() as owned:
@@ -464,7 +461,6 @@ class Campaign:
     def run(
         self,
         progress: Optional[ProgressCallback] = None,
-        checkpoint_path: Optional[str] = None,
         results_dir: Optional[str] = None,
         backend: str = "local",
         distributed: Optional["DistributedSettings"] = None,
@@ -473,19 +469,15 @@ class Campaign:
         """Run the whole campaign and return its results.
 
         ``progress`` is called as ``progress(done, total)`` whenever a batch
-        of experiments completes.  Two persistence layouts are supported:
-
-        * ``results_dir`` — the streaming sharded result store, rooted at a
-          directory path or an ``objstore://host:port/bucket`` URL (the
-          store picks its shard transport from the root's shape).  Workers
-          serialize every finished batch to a compressed shard, the returned
-          :class:`CampaignResult` holds a lazy plan-order view, and a rerun
-          of the same configuration resumes by scanning the completed shards
-          (replaying zero finished experiments).  Peak memory stays bounded
-          by one batch no matter how large the campaign is — use this for
-          paper-scale runs.
-        * ``checkpoint_path`` — the legacy monolithic pickle checkpoint,
-          rewritten after every batch; fine for small campaigns.
+        of experiments completes.  Without ``results_dir`` the results stay
+        in memory.  With it they stream into the sharded result store,
+        rooted at a directory path or an ``objstore://host:port/bucket`` URL
+        (the store picks its shard transport from the root's shape).
+        Workers serialize every finished batch to a compressed shard, the
+        returned :class:`CampaignResult` holds a lazy plan-order view, and a
+        rerun of the same configuration resumes by scanning the completed
+        shards (replaying zero finished experiments).  Peak memory stays
+        bounded by one batch no matter how large the campaign is.
 
         Two execution backends are supported:
 
@@ -513,45 +505,37 @@ class Campaign:
         if backend == "distributed" and not results_dir:
             raise ValueError("the distributed backend requires results_dir")
         progress = _cancellable_progress(progress, cancel)
-        with self._executor(
-            progress=progress, checkpoint_path=checkpoint_path, results_dir=results_dir
-        ) as executor:
+        with self._executor(progress=progress, results_dir=results_dir) as executor:
+            prep_digest = prep_fingerprint(self.config.experiment, self._preps())
             prepared = None
-            prep_digest = None
-            store = None
-            if checkpoint_path or results_dir:
-                prep_digest = prep_fingerprint(self.config.experiment, self._preps())
-            if checkpoint_path:
-                prepared = load_checkpoint_prep(checkpoint_path, prep_digest)
-            elif results_dir:
-                store = ShardedResultStore(results_dir)
-                prepared = store.load_prep(prep_digest)
-            prep_was_loaded = prepared is not None
+            if results_dir:
+                prepared = ShardedResultStore(results_dir).load_prep(prep_digest)
             tasks, baselines, recorded_fields = self.plan_campaign(executor, prepared=prepared)
-            prepared_pairs = [
-                (baselines[workload.value], recorded_fields[workload.value])
-                for workload in self.config.workloads
-            ]
+            # Freshly computed prep is saved into the store once, and only
+            # after the store's campaign fingerprint has been validated, so a
+            # mis-pointed --results-dir is rejected before anything inside
+            # the foreign store is touched.
+            fresh_prep: Optional[tuple[str, list]] = None
+            if results_dir and prepared is None:
+                fresh_prep = (
+                    prep_digest,
+                    [
+                        (baselines[workload.value], recorded_fields[workload.value])
+                        for workload in self.config.workloads
+                    ],
+                )
             if backend == "distributed":
                 return self._run_distributed(
                     results_dir,
                     tasks,
                     baselines,
                     recorded_fields,
-                    prepared_pairs if not prep_was_loaded else None,
-                    prep_digest,
+                    fresh_prep,
                     distributed,
                     progress,
                     cancel,
                 )
-            # In both layouts the prep is persisted through the executor.
-            # The checkpoint re-attaches it on every write (resumed or not);
-            # the store writes it once, and only after the store's campaign
-            # fingerprint has been validated, so a mis-pointed --results-dir
-            # is rejected before anything inside the foreign store is touched.
-            if checkpoint_path or (results_dir and not prep_was_loaded):
-                executor.set_checkpoint_prep(prep_digest, prepared_pairs)
-            results = executor.run_experiments(tasks, baselines=baselines)
+            results = executor.run_experiments(tasks, baselines=baselines, prep=fresh_prep)
         return CampaignResult(
             results=results, baselines=baselines, recorded_fields=recorded_fields
         )
@@ -562,8 +546,7 @@ class Campaign:
         tasks: list[ExperimentTask],
         baselines: dict[str, GoldenBaseline],
         recorded_fields: dict[str, list[RecordedField]],
-        fresh_prep: Optional[list],
-        prep_digest: Optional[str],
+        fresh_prep: Optional[tuple[str, list]],
         settings: Optional["DistributedSettings"],
         progress: Optional[ProgressCallback],
         cancel: Optional["threading.Event"] = None,
@@ -594,7 +577,7 @@ class Campaign:
         )
         coordinator.publish()
         if fresh_prep is not None:
-            ShardedResultStore(results_dir).save_prep(prep_digest, fresh_prep)
+            ShardedResultStore(results_dir).save_prep(*fresh_prep)
         results, tally = coordinator.watch(cancel=cancel)
         return CampaignResult(
             results=results,

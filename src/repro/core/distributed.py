@@ -151,10 +151,6 @@ class DistributedPlan:
         return self.tasks[plan_slice.start : plan_slice.stop]
 
 
-def plan_path(root: str) -> str:
-    return transport_for(root).locate(_PLAN_NAME)
-
-
 def load_plan(root: str, transport=None) -> Optional[DistributedPlan]:
     """The published plan, or ``None`` when no coordinator has published yet.
 
@@ -292,7 +288,6 @@ class SliceLeases:
     def __init__(self, root: str, ttl: float = DEFAULT_LEASE_TTL):
         self.root = root
         self.transport = transport_for(root)
-        self.lease_dir = self.transport.locate(_LEASE_DIR)
         self.ttl = ttl
 
     def _lease_key(self, slice_id: int) -> str:
@@ -300,12 +295,6 @@ class SliceLeases:
 
     def _done_key(self, slice_id: int) -> str:
         return f"{_LEASE_DIR}/slice-{slice_id:05d}.done"
-
-    def _lease_path(self, slice_id: int) -> str:
-        return self.transport.locate(self._lease_key(slice_id))
-
-    def _done_path(self, slice_id: int) -> str:
-        return self.transport.locate(self._done_key(slice_id))
 
     def _read_lease(self, slice_id: int) -> Optional[tuple[LeaseInfo, str]]:
         """The outstanding lease plus its generation token, or ``None``.

@@ -120,8 +120,8 @@ def _write_all(fd: int, data: bytes) -> None:
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write-fsync-rename, then fsync the directory, so a completed write is
     both atomic (readers never observe a half-written file) and durable on
-    non-ext4 shared filesystems.  Shared by the shard store, the checkpoint
-    writer, and the distributed lease/plan files.
+    non-ext4 shared filesystems.  Shared by the shard store and the
+    distributed lease/plan files.
     """
     tmp_path = _temp_path_for(path)
     with open(tmp_path, "wb") as handle:

@@ -142,13 +142,6 @@ class ProjectGraph:
                     queue.append((base_owner, base_class.name))
         return None
 
-    def lock_guarded_of(self, module: str, class_name: str) -> Optional[tuple[str, ...]]:
-        summary = self.modules.get(module)
-        if summary is None:
-            return None
-        klass = summary.classes.get(class_name)
-        return klass.lock_guarded if klass is not None else None
-
     # ------------------------------------------------------- call resolution
 
     def _resolve_dotted(self, dotted: str) -> Resolution:

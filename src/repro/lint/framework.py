@@ -43,7 +43,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Iterator, Optional
+from typing import ClassVar, Iterable, Optional
 
 #: Code reserved for lint hygiene itself: malformed/unjustified suppressions,
 #: unknown codes in a disable comment, and files the parser cannot read.
@@ -331,9 +331,3 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         return ".".join(reversed(parts))
     return None
 
-
-def walk_functions(tree: ast.AST) -> Iterator[ast.AST]:
-    """Every function/async-function definition in the tree."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

@@ -31,22 +31,14 @@ from repro.lint.dataflow import (
 )
 from repro.lint.framework import Diagnostic, Suppression
 from repro.lint.symbols import CallSite
+from repro.lint.transport_purity import TransportPurityChecker, banned_call
 
 #: ``suppressions_by_path`` shape handed to every graph checker.
 SuppressionMap = Mapping[str, Sequence[Suppression]]
-from repro.lint.transport_purity import (
-    BANNED_DOTTED,
-    BANNED_MODULES,
-    BANNED_OS,
-    SCOPE_DIRS,
-    SCOPE_FILES,
-)
 
 #: Modules whose functions are the storage contract's implementation floor
 #: (never descended into — their raw I/O is the point).
 EXEMPT_TAILS = frozenset({("core", "transport.py"), ("core", "objstore.py")})
-
-_BANNED_PREFIXES = ("shutil.", "http.client.", "urllib.request.")
 
 
 class GraphChecker:
@@ -70,30 +62,15 @@ class GraphChecker:
         raise NotImplementedError
 
 
-def _in_purity_scope(relparts: tuple[str, ...]) -> bool:
-    if tuple(relparts[-2:]) in SCOPE_FILES:
-        return True
-    return bool(relparts) and relparts[0] in SCOPE_DIRS
-
-
 def _is_exempt(relparts: tuple[str, ...]) -> bool:
     return tuple(relparts[-2:]) in EXEMPT_TAILS
 
 
 def raw_io_label(call: CallSite, resolution: Resolution) -> Optional[str]:
-    """MUT002's banned-primitive set, expressed over a summarized call."""
-    if resolution.kind != EXTERNAL:
+    """MUT002's ban matcher, applied to the target a call resolves to."""
+    if resolution.kind != EXTERNAL or banned_call(resolution.target) is None:
         return None
-    dotted = resolution.target
-    if dotted == "open":
-        return "open()"
-    if dotted.startswith("os.") and dotted.split(".", 1)[1] in BANNED_OS:
-        return f"{dotted}()"
-    if dotted in BANNED_DOTTED or dotted in BANNED_MODULES:
-        return f"{dotted}()"
-    if dotted.startswith(_BANNED_PREFIXES):
-        return f"{dotted}()"
-    return None
+    return f"{resolution.target}()"
 
 
 class InterproceduralPurityChecker(GraphChecker):
@@ -137,7 +114,7 @@ backends and the fault-injection proxy implement it once).
             label = raw_io_label(call, resolution)
             if label is None:
                 return None
-            if _in_purity_scope(ref.relparts):
+            if TransportPurityChecker.applies_to(ref.relparts):
                 # An in-scope primitive is already a MUT002 finding at its
                 # own line; reporting every chain into it would double-count
                 # one defect.
@@ -158,7 +135,7 @@ backends and the fault-injection proxy implement it once).
             exempt=lambda ref: _is_exempt(ref.relparts),
         )
         for ref in graph.all_functions():
-            if not _in_purity_scope(ref.relparts):
+            if not TransportPurityChecker.applies_to(ref.relparts):
                 continue
             module = graph.modules[ref.module]
             for call in ref.summary.calls:

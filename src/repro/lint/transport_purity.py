@@ -20,6 +20,7 @@ are the contract's floor and are out of scope by construction.
 from __future__ import annotations
 
 import ast
+from typing import Optional
 
 from repro.lint.framework import Checker, dotted_name
 
@@ -52,6 +53,37 @@ BANNED_DOTTED = frozenset(
 
 #: Modules whose import alone marks a bypass (any use is raw I/O).
 BANNED_MODULES = frozenset({"shutil", "http.client", "urllib.request"})
+
+_BANNED_PREFIXES = tuple(f"{module}." for module in sorted(BANNED_MODULES))
+
+
+def banned_call(dotted: str) -> Optional[str]:
+    """The MUT002 finding for a call of ``dotted``, or ``None`` if the ban
+    tables allow it.
+
+    The contract's one ban matcher: MUT002 applies it to the name called at
+    a site, MUT006 to the external target a call resolves to.
+    """
+    if dotted == "open":
+        return (
+            "direct open() in a transport-pure module; read/write through "
+            "the ShardTransport seven ops instead"
+        )
+    if dotted.startswith("os.") and dotted.split(".", 1)[1] in BANNED_OS:
+        return (
+            f"direct {dotted}() in a transport-pure module; storage "
+            "mutation belongs behind the ShardTransport contract"
+        )
+    if (
+        dotted in BANNED_DOTTED
+        or dotted in BANNED_MODULES
+        or dotted.startswith(_BANNED_PREFIXES)
+    ):
+        return (
+            f"direct {dotted}() in a transport-pure module; storage I/O "
+            "belongs behind the ShardTransport contract"
+        )
+    return None
 
 
 class TransportPurityChecker(Checker):
@@ -91,6 +123,7 @@ justified inline suppression.
 
     @classmethod
     def applies_to(cls, relparts: tuple[str, ...]) -> bool:
+        """The contract's one scope predicate (MUT006 shares it)."""
         if tuple(relparts[-2:]) in SCOPE_FILES:
             return True
         return bool(relparts) and relparts[0] in SCOPE_DIRS
@@ -134,30 +167,8 @@ justified inline suppression.
     # ---------------------------------------------------------------- calls
 
     def visit_Call(self, node: ast.Call) -> None:
-        if isinstance(node.func, ast.Name) and node.func.id == "open":
-            self.report(
-                node,
-                "direct open() in a transport-pure module; read/write through "
-                "the ShardTransport seven ops instead",
-            )
         dotted = dotted_name(node.func)
-        if dotted is not None:
-            if dotted.startswith("os.") and dotted.split(".", 1)[1] in BANNED_OS:
-                self.report(
-                    node,
-                    f"direct {dotted}() in a transport-pure module; storage "
-                    "mutation belongs behind the ShardTransport contract",
-                )
-            elif dotted in BANNED_DOTTED:
-                self.report(
-                    node,
-                    f"direct {dotted}() in a transport-pure module; storage I/O "
-                    "belongs behind the ShardTransport contract",
-                )
-            elif dotted.startswith(("shutil.", "http.client.", "urllib.request.")):
-                self.report(
-                    node,
-                    f"direct {dotted}() in a transport-pure module; storage I/O "
-                    "belongs behind the ShardTransport contract",
-                )
+        message = banned_call(dotted) if dotted is not None else None
+        if message is not None:
+            self.report(node, message)
         self.generic_visit(node)

@@ -56,7 +56,6 @@ class CampaignHandle:
         try:
             result = Campaign(self.spec.to_config()).run(
                 progress=progress,
-                checkpoint_path=self.spec.checkpoint,
                 results_dir=self.spec.store_url,
                 backend=self.spec.backend,
                 distributed=self.spec.distributed_settings(),

@@ -189,8 +189,6 @@ class CampaignService:
                 "service campaigns require store_url — the service is stateless "
                 "and a campaign's results must live in a transport-backed store"
             )
-        if spec.checkpoint:
-            raise SpecError("service campaigns cannot use checkpoint persistence")
         campaign_id = spec.campaign_id()
         # Admission, registry mutation, and the (cheap) handle start happen
         # under the lock so quota accounting and idempotency stay atomic;

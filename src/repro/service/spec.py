@@ -30,6 +30,10 @@ BACKENDS = ("local", "distributed")
 #: Workload names a spec may list.
 WORKLOAD_NAMES = tuple(kind.value for kind in WorkloadKind)
 
+#: The removed ``checkpoint`` field, still hashed as null so campaign ids
+#: (and the service index records keyed on them) stay unchanged.
+_LEGACY_CANONICAL = {"checkpoint": None}
+
 
 class SpecError(ValueError):
     """A campaign spec is malformed; the message names the offending field."""
@@ -70,7 +74,6 @@ class CampaignSpec:
     shard_batch: int = 1
     backend: str = "local"
     store_url: Optional[str] = None
-    checkpoint: Optional[str] = None
     slice_size: Optional[int] = None
     poll_interval: float = 0.5
     timeout: Optional[float] = None
@@ -117,19 +120,11 @@ class CampaignSpec:
                 )
             except StoreURLError as error:
                 raise SpecError(str(error)) from None
-        if self.checkpoint is not None and not (
-            isinstance(self.checkpoint, str) and self.checkpoint.strip()
-        ):
-            raise SpecError(f"checkpoint must be a file path, got {self.checkpoint!r}")
-        if self.checkpoint and self.store_url:
-            raise SpecError("checkpoint and store_url are mutually exclusive")
         if self.backend == "distributed" and not self.store_url:
             raise SpecError(
                 "backend 'distributed' requires store_url — pass --results-dir "
                 "(a directory or objstore:// URL shared with the worker processes)"
             )
-        if self.backend == "distributed" and self.checkpoint:
-            raise SpecError("backend 'distributed' cannot use checkpoint persistence")
 
     # ------------------------------------------------------------ round-trip
 
@@ -143,18 +138,24 @@ class CampaignSpec:
 
         Unknown fields are an error, not a warning: a typo'd ``max_expermnts``
         silently defaulting to 60 is exactly the configuration-defect class
-        this repo exists to study.
+        this repo exists to study.  The removed ``checkpoint`` field is
+        accepted as null (every spec written before its removal carries it).
         """
         if not isinstance(data, dict):
             raise SpecError(f"campaign spec must be a JSON object, got {data!r}")
+        kwargs = dict(data)
+        if kwargs.pop("checkpoint", None) is not None:
+            raise SpecError(
+                "checkpoint: the pickle checkpoint layout was removed; "
+                "persist results with store_url instead"
+            )
         known = set(cls.field_names())
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(kwargs) - known)
         if unknown:
             raise SpecError(
                 f"unknown campaign spec field(s): {', '.join(unknown)} "
                 f"(known fields: {', '.join(sorted(known))})"
             )
-        kwargs = dict(data)
         if isinstance(kwargs.get("workloads"), list):
             kwargs["workloads"] = tuple(kwargs["workloads"])
         return cls(**kwargs)
@@ -182,7 +183,6 @@ class CampaignSpec:
             shard_batch=args.shard_batch,
             backend=args.backend,
             store_url=args.results_dir,
-            checkpoint=getattr(args, "checkpoint", None),
             slice_size=args.slice_size,
             poll_interval=args.poll_interval,
             timeout=args.coordinator_timeout,
@@ -206,7 +206,9 @@ class CampaignSpec:
         configuration plus where its results live; the service keys its
         index on this, making resubmission of the same document idempotent.
         """
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(
+            {**self.to_dict(), **_LEGACY_CANONICAL}, sort_keys=True, separators=(",", ":")
+        )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def campaign_id(self) -> str:

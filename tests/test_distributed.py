@@ -37,11 +37,8 @@ from repro.core.distributed import (
 )
 from repro.core.experiment import ExperimentConfig
 from repro.core.parallel import ExperimentTask
-from repro.core.resultstore import (
-    ResultStoreMismatchError,
-    ShardedResultStore,
-    atomic_write_bytes,
-)
+from repro.core.resultstore import ResultStoreMismatchError, ShardedResultStore
+from repro.core.transport import atomic_write_bytes
 from repro.workloads.workload import WorkloadKind
 
 #: src/ directory, for PYTHONPATH of spawned worker processes.
@@ -184,7 +181,7 @@ def test_concurrent_claims_have_exactly_one_winner(tmp_path):
 
 
 def _backdate(leases: SliceLeases, slice_id: int, seconds: float) -> None:
-    path = leases._lease_path(slice_id)
+    path = leases.transport.locate(leases._lease_key(slice_id))
     stat = os.stat(path)
     os.utime(path, (stat.st_atime - seconds, stat.st_mtime - seconds))
 
@@ -218,8 +215,7 @@ def test_unreadable_lease_still_counts_and_expires_by_age(tmp_path):
     # ages out (treating it as absent would deadlock the slice: O_EXCL can
     # never succeed against an existing file).
     leases = SliceLeases(str(tmp_path), ttl=5.0)
-    os.makedirs(leases.lease_dir, exist_ok=True)
-    open(leases._lease_path(0), "wb").close()
+    leases.transport.put(leases._lease_key(0), b"")
     info = leases.lease_info(0)
     assert info is not None and info.worker == "?"
     assert leases.try_claim(0, "worker-b") is False  # young: still a lease
@@ -245,9 +241,10 @@ def test_heartbeat_detects_lost_lease(tmp_path):
     assert leases.try_claim(0, "worker-b")  # reclaimed
     # The original owner's next heartbeat must report the loss, not refresh
     # worker-b's lease.
-    before = os.stat(leases._lease_path(0)).st_mtime
+    lease_path = leases.transport.locate(leases._lease_key(0))
+    before = os.stat(lease_path).st_mtime
     assert leases.heartbeat(0, "worker-a") is False
-    assert os.stat(leases._lease_path(0)).st_mtime == before
+    assert os.stat(lease_path).st_mtime == before
     # An absent lease is also a loss.
     leases.release(0)
     assert leases.heartbeat(0, "worker-a") is False

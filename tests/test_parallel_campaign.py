@@ -3,8 +3,8 @@
 The contract under test is the one the executor is built around: an
 experiment is fully determined by its ``(workload, fault, seed, config)``
 tuple, so a campaign sharded across worker processes must produce exactly
-the results of the serial run — same classifications, same order — and a
-checkpointed campaign must resume without re-running completed experiments.
+the results of the serial run — same classifications, same order.  Resume
+over the sharded result store is covered in ``test_resultstore.py``.
 """
 
 from __future__ import annotations
@@ -20,13 +20,10 @@ from repro.core.experiment import ExperimentResult
 from repro.core.injector import FaultSpec, FaultType, InjectionChannel
 from repro.core.parallel import (
     CampaignExecutor,
-    CheckpointMismatchError,
     ExperimentTask,
     campaign_fingerprint,
-    load_checkpoint,
     resolve_workers,
     tasks_fingerprint,
-    write_checkpoint,
 )
 from repro.workloads.workload import WorkloadKind
 
@@ -114,8 +111,8 @@ def test_fingerprint_is_stable_and_sensitive():
 
 
 def test_campaign_fingerprint_covers_config_and_baselines():
-    # A resumed checkpoint must not mix results classified against different
-    # baselines or produced by a different experiment configuration.
+    # A resumed result store must not mix results classified against
+    # different baselines or produced by a different experiment configuration.
     from repro.core.experiment import ExperimentConfig
 
     fault = FaultSpec(channel=InjectionChannel.APISERVER_TO_ETCD, kind="Pod")
@@ -141,20 +138,6 @@ def test_campaign_fingerprint_covers_config_and_baselines():
     )
     assert base != campaign_fingerprint(tasks, config, {"deploy": other_baseline})
     assert base != campaign_fingerprint(tasks, ExperimentConfig(run_seconds=90.0), {"deploy": baseline})
-
-
-def test_checkpoint_roundtrip_and_mismatch(tmp_path):
-    path = str(tmp_path / "campaign.ckpt")
-    results = {0: ExperimentResult(workload=WorkloadKind.DEPLOY, fault=None, seed=1001)}
-    write_checkpoint(path, "fingerprint-a", results)
-    assert load_checkpoint(path, "fingerprint-a") == results
-    with pytest.raises(CheckpointMismatchError):
-        load_checkpoint(path, "fingerprint-b")
-    assert load_checkpoint(str(tmp_path / "absent.ckpt"), "fingerprint-a") == {}
-    garbage = tmp_path / "garbage.ckpt"
-    garbage.write_text("not a pickle")
-    with pytest.raises(CheckpointMismatchError):
-        load_checkpoint(str(garbage), "fingerprint-a")
 
 
 def test_per_run_prep_matches_build_baseline():
@@ -197,70 +180,6 @@ def test_serial_and_parallel_campaign_results_identical():
     ]
     assert serial.results == parallel.results
     assert serial.baselines == parallel.baselines
-
-
-def test_checkpoint_resume_skips_completed_experiments(tmp_path):
-    config = _tiny_config(workers=1)
-    campaign = Campaign(config)
-    tasks, baselines, _ = campaign.plan_campaign()
-    assert [task.index for task in tasks] == list(range(len(tasks)))
-    path = str(tmp_path / "resume.ckpt")
-
-    first_calls: list[tuple[int, int]] = []
-    executor = CampaignExecutor(
-        config.experiment,
-        workers=1,
-        chunk_size=1,
-        progress=lambda done, total: first_calls.append((done, total)),
-        checkpoint_path=path,
-    )
-    results = executor.run_experiments(tasks, baselines=baselines)
-    total = len(tasks)
-    assert first_calls == [(done, total) for done in range(1, total + 1)]
-
-    # Drop one completed experiment from the checkpoint: the rerun must
-    # execute exactly that one and reproduce the full result list.
-    fingerprint = campaign_fingerprint(tasks, config.experiment, baselines)
-    completed = load_checkpoint(path, fingerprint)
-    del completed[1]
-    write_checkpoint(path, fingerprint, completed)
-
-    second_calls: list[tuple[int, int]] = []
-    resumed = CampaignExecutor(
-        config.experiment,
-        workers=1,
-        chunk_size=1,
-        progress=lambda done, total: second_calls.append((done, total)),
-        checkpoint_path=path,
-    ).run_experiments(tasks, baselines=baselines)
-    assert resumed == results
-    # One progress call for the resumed state, one for the single rerun batch.
-    assert second_calls == [(total - 1, total), (total, total)]
-
-
-def test_campaign_resume_skips_workload_preparation(tmp_path, monkeypatch):
-    # A full Campaign.run with a checkpoint persists the golden baselines and
-    # field recordings too; the resumed run must not redo them.
-    import repro.core.parallel as parallel_module
-
-    config = _tiny_config(workers=1, max_experiments_per_workload=2)
-    path = str(tmp_path / "full.ckpt")
-    first = Campaign(config).run(checkpoint_path=path)
-
-    def explode(*args, **kwargs):
-        raise AssertionError("prep must come from the checkpoint on resume")
-
-    monkeypatch.setattr(parallel_module, "_run_golden_job", explode)
-    resumed = Campaign(config).run(checkpoint_path=path)
-    assert resumed.results == first.results
-    assert resumed.baselines == first.baselines
-    assert resumed.recorded_fields == first.recorded_fields
-
-    # A configuration change is rejected *before* any prep recomputation
-    # (fail-fast: the monkeypatched prep would explode otherwise).
-    changed = _tiny_config(workers=1, max_experiments_per_workload=2, golden_runs=2)
-    with pytest.raises(CheckpointMismatchError):
-        Campaign(changed).run(checkpoint_path=path)
 
 
 # --------------------------------------------------------------------- CLI

@@ -423,9 +423,18 @@ def test_streaming_campaign_resumes_after_truncated_shard(tmp_path):
     assert calls[-1] == (len(expected), len(expected))
 
 
-def test_streaming_campaign_rejects_changed_configuration(tmp_path):
+def test_streaming_campaign_rejects_changed_configuration(tmp_path, monkeypatch):
+    import repro.core.parallel as parallel_module
+
     root = str(tmp_path / "results")
     Campaign(_tiny_config(workers=1)).run(results_dir=root)
+
+    def explode(*args, **kwargs):
+        raise AssertionError("a changed configuration must be rejected before prep")
+
+    # Fail-fast: the stored prep's fingerprint rejects the changed
+    # configuration before any golden run is recomputed.
+    monkeypatch.setattr(parallel_module, "_run_golden_job", explode)
     with pytest.raises(ResultStoreMismatchError):
         Campaign(_tiny_config(workers=1, golden_runs=2)).run(results_dir=root)
 
@@ -510,20 +519,13 @@ def test_cli_inspect_rejects_non_store_directory(tmp_path, capsys):
     assert "not a result store" in capsys.readouterr().err
 
 
-def test_cli_rejects_conflicting_persistence_flags(tmp_path, capsys):
+def test_cli_rejects_removed_checkpoint_flag(tmp_path, capsys):
     from repro.cli import main
 
-    with pytest.raises(SystemExit):
-        main(
-            [
-                "campaign",
-                "--checkpoint",
-                str(tmp_path / "x.ckpt"),
-                "--results-dir",
-                str(tmp_path / "store"),
-            ]
-        )
-    assert "not allowed with argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["campaign", "--checkpoint", str(tmp_path / "x.ckpt")])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --checkpoint" in capsys.readouterr().err
 
 
 def test_cli_names_bad_count_values(capsys):

@@ -121,7 +121,6 @@ class TestCampaignSpec:
             (dict(timeout=-1), "timeout"),
             (dict(store_url="s3://bucket/x"), "s3://bucket/x"),
             (dict(backend="distributed"), "store_url"),
-            (dict(store_url="/tmp/x", checkpoint="/tmp/c.pkl"), "mutually exclusive"),
         ],
     )
     def test_invalid_fields_rejected_by_name(self, kwargs, named):
@@ -191,13 +190,21 @@ class TestCampaignSpec:
             submit_args
         )
 
-    def test_checkpoint_only_on_campaign(self, tmp_path):
-        args = build_parser().parse_args(
-            ["campaign", "--checkpoint", str(tmp_path / "c.pkl")]
-        )
-        spec = CampaignSpec.from_cli_args(args)
-        assert spec.checkpoint == str(tmp_path / "c.pkl")
-        assert spec.store_url is None
+    def test_campaign_id_survives_the_checkpoint_field_removal(self):
+        # Pinned from the spec that still had a ``checkpoint`` field: ids
+        # key the service index, so dropping the field must not move them.
+        spec = CampaignSpec(store_url="objstore://127.0.0.1:9000/bench")
+        assert spec.campaign_id() == "ad4972f96a8a8d6e"
+        assert "checkpoint" not in spec.to_dict()
+
+    def test_legacy_null_checkpoint_is_accepted_and_dropped(self):
+        data = CampaignSpec(store_url="/tmp/x").to_dict()
+        legacy = CampaignSpec.from_dict({**data, "checkpoint": None})
+        assert legacy == CampaignSpec.from_dict(data)
+
+    def test_checkpoint_value_is_rejected_by_name(self):
+        with pytest.raises(SpecError, match="checkpoint.*removed.*store_url"):
+            CampaignSpec.from_dict({"checkpoint": "/tmp/c.pkl", "store_url": "/tmp/x"})
 
 
 # --------------------------------------------------------------------------
@@ -322,6 +329,33 @@ class TestServiceAPI:
         assert rehydrated.rehydrate() == 1
         assert rehydrated.list_campaigns()["campaigns"][0]["state"] == "complete"
         assert rehydrated.document_bytes(response["id"]) == cli_bytes
+
+    def test_rehydrates_index_record_with_legacy_checkpoint_key(self, tmp_path):
+        # An index record as services wrote it while specs still carried
+        # ``"checkpoint": null``; it must come back under the same id.
+        spec = {
+            "backend": "local", "checkpoint": None, "chunk_size": None,
+            "golden_runs": 2, "max_experiments": 60, "poll_interval": 0.5,
+            "seed": 7, "shard_batch": 1, "slice_size": None,
+            "store_url": "objstore://127.0.0.1:9000/bench", "timeout": None,
+            "workers": None, "workloads": ["deploy", "scale", "failover"],
+        }
+        fingerprint = "ad4972f96a8a8d6e5bca4e97d0415c8351087315da57e36b93383a17c16c0441"
+        record = {
+            "id": fingerprint[:16], "fingerprint": fingerprint, "spec": spec,
+            "submitted_at": 1.0, "cancelled": True,
+        }
+        service = CampaignService(str(tmp_path / "state"))
+        service.transport.put(
+            f"campaigns/{record['id']}.json",
+            json.dumps(record, sort_keys=True).encode("utf-8"),
+        )
+        assert service.rehydrate() == 1
+        # describe() reads only the registry, never the (absent) store.
+        recovered = service.describe(fingerprint[:16])
+        assert recovered["fingerprint"] == fingerprint
+        assert recovered["state"] == "cancelled"
+        assert CampaignSpec.from_dict(spec).fingerprint() == fingerprint
 
     def test_unknown_campaign_is_404(self, service_server):
         _, client = service_server
